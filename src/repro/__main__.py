@@ -670,7 +670,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"rev {report['revision']}) written to {out}")
         for name, case in report["cases"].items():
             print(f"  {name:<26} {case['value']:>14,.0f} {case['metric']}"
-                  f"  (normalized {case['normalized']:.4f})")
+                  f"  (normalized {case['normalized']:.4g})")
         for key, value in report["derived"].items():
             print(f"  {key:<26} {value:>13.2f}x")
     if not args.compare:

@@ -116,7 +116,7 @@ def render_compare(result: CompareResult, threshold: float = 0.15) -> str:
         flag = "  << REGRESSION" if row["regressed"] else ""
         lines.append(
             f"{row['case']:<26} {row['value']:>14,.0f} "
-            f"{row['normalized']:>12.4f} {row['baseline_normalized']:>12.4f} "
+            f"{row['normalized']:>12.4g} {row['baseline_normalized']:>12.4g} "
             f"{row['delta']:>+8.1%}{flag}"
         )
     for note in result.notes:

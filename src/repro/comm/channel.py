@@ -96,19 +96,26 @@ class StreamingChannel:
             self.consumer.receive(valid, word)
             self.words_delivered += 1
         # feedback that has reached the producer end gates the FIFO read
-        backpressured = self._backward[-1] or self.fault_stuck_full
-        if (
-            backpressured
-            and self.producer.fifo_ren
-            and not self.producer.fifo.empty
-        ):
+        # (inlined ProducerInterface.drive / ConsumerInterface.full_feedback)
+        producer = self.producer
+        if not (producer.fifo_ren and producer.fifo._data):
+            staged = INVALID_WORD
+        elif self._backward[-1] or self.fault_stuck_full:
             self.stall_cycles += 1
-        self._staged_forward = self.producer.drive(
-            backpressured=backpressured
+            staged = INVALID_WORD
+        else:
+            word = producer.fifo.pop()
+            producer.words_sent += 1
+            if producer.fault_or:
+                word = (word | producer.fault_or) & producer.mask
+            if self.check_signatures:
+                self._sent_sigs.append(self._signature(word))
+            staged = (True, word)
+        self._staged_forward = staged
+        fifo = self.consumer.fifo
+        self._staged_backward = (
+            fifo.capacity - len(fifo._data) <= fifo.almost_full_slack
         )
-        if self.check_signatures and self._staged_forward[0]:
-            self._sent_sigs.append(self._signature(self._staged_forward[1]))
-        self._staged_backward = self.consumer.full_feedback
 
     def commit(self) -> None:
         """Phase 2: shift both pipelines."""

@@ -82,7 +82,8 @@ class ProducerInterface:
 
         Returns ``(valid, word)`` -- the hardware's ``{~empty, data}``
         bit-extension.  Reads the FIFO only when ``FIFO_ren`` is set and the
-        delayed feedback-full signal is deasserted.
+        delayed feedback-full signal is deasserted.  The streaming
+        channel's hot path inlines this logic; keep the two in step.
         """
         fifo = self.fifo
         if not self.fifo_ren or backpressured or not fifo._data:

@@ -216,7 +216,7 @@ class HardwareModule(ClockedComponent):
     # -- FSM pieces -----------------------------------------------------
     def _poll_fsl_commands(self) -> None:
         link = self.ports.fsl_in
-        if link is None:
+        if link is None or not link.fifo._data:
             return
         while link.can_read:
             data, control = link.slave_read()
@@ -263,12 +263,11 @@ class HardwareModule(ClockedComponent):
         port = self.select_input()
         if port is None:
             return False
-        consumer = self._consumer(port)
-        word = consumer.module_read()
-        if word is None:
+        fifo = self._consumer(port).fifo
+        if not fifo._data:
             return False
         self.samples_in += 1
-        self._in_flight = word
+        self._in_flight = fifo.pop()
         if self.cycles_per_sample <= 1:
             self._complete_sample()
         else:
@@ -278,10 +277,20 @@ class HardwareModule(ClockedComponent):
     def _complete_sample(self) -> None:
         result = self.process(self._in_flight)
         self._in_flight = None
+        if isinstance(result, int) and not self._pending_out:
+            # common case: one word for port 0 and no backlog to queue behind
+            word = to_u32(result)
+            self._emit_monitoring()
+            if self._producer(0).module_write(word):
+                self.samples_out += 1
+            else:
+                self._pending_out.append((0, word))
+                self.stall_cycles += 1
+            return
         if result is None:
             outputs: List[Tuple[int, int]] = []
         elif isinstance(result, int):
-            outputs = [(0, to_u32(result))]
+            outputs = [(0, to_u32(result))]  # behind a backlog
         else:
             outputs = [(port, to_u32(word)) for port, word in result]
         self._pending_out.extend(outputs)

@@ -88,7 +88,7 @@ class Iom(ClockedComponent):
 
     def _poll_commands(self) -> None:
         link = self.ports.fsl_in
-        if link is None:
+        if link is None or not link.fifo._data:
             return
         while link.can_read:
             data, control = link.slave_read()

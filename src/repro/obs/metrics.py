@@ -19,7 +19,8 @@ Standard-library only -- the simulation kernel imports this module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default histogram upper bounds (unitless; callers pick domain-apt ones).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -102,14 +103,45 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.buckets = bounds
-        self.counts: List[int] = [0] * (len(bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
+        self._counts: List[int] = [0] * (len(bounds) + 1)
+        self._sum = 0.0
+        self._count = 0
+        self._tally: DefaultDict[int, int] = defaultdict(int)
 
     def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
+        self._counts[bisect_left(self.buckets, value)] += 1
+        self._sum += value
+        self._count += 1
+
+    def tally(self) -> DefaultDict[int, int]:
+        """A map a hot caller bumps at key ``v`` to observe the integer
+        ``v``; folded into ``counts``/``sum``/``count`` when they are
+        read (exact for integer samples)."""
+        return self._tally
+
+    def _fold(self) -> None:
+        tally = self._tally
+        if tally:
+            for value, hits in tally.items():
+                self._counts[bisect_left(self.buckets, value)] += hits
+                self._sum += value * hits
+                self._count += hits
+            tally.clear()
+
+    @property
+    def counts(self) -> List[int]:
+        self._fold()
+        return self._counts
+
+    @property
+    def sum(self) -> float:
+        self._fold()
+        return self._sum
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
 
     def merge(self, other: "Histogram") -> None:
         if other.buckets != self.buckets:
@@ -118,9 +150,9 @@ class Histogram:
                 f"({self.buckets} vs {other.buckets})"
             )
         for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.sum += other.sum
-        self.count += other.count
+            self._counts[index] += count
+        self._sum += other.sum
+        self._count += other.count
 
     def cumulative(self) -> List[Tuple[str, int]]:
         """``(le, cumulative count)`` rows, ending with ``+Inf``."""

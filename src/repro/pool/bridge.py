@@ -37,6 +37,7 @@ before ``"finished"``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import multiprocessing
 import queue
@@ -53,7 +54,8 @@ WorkerEvent = Tuple[str, int, int, object]
 
 
 def _device_worker(
-    worker_id, inbox, outbox, params, config, snapshot_every=0
+    worker_id, inbox, outbox, params, config, snapshot_every=0,
+    collect=False,
 ) -> None:
     """One device's serving loop (process or thread entry point)."""
     from repro.obs.live import (
@@ -64,6 +66,13 @@ def _device_worker(
     )
     from repro.runtime.executor import JobExecutor
 
+    # A finished executor is cyclic garbage whose output buffers (MBs for
+    # long streams) sit in too few containers to trip the collector, so
+    # a process worker (``collect``) collects per job; freezing the
+    # inherited heap keeps each collection down to the job's own objects.
+    # Thread workers share the server's heap and must leave it alone.
+    if collect:
+        gc.freeze()
     source = QueueJobSource(inbox)
     for item in source:
         job_id, spec, ctx = item
@@ -119,6 +128,9 @@ def _device_worker(
                 ("error", worker_id, job_id,
                  f"{type(exc).__name__}: {exc}")
             )
+        if collect:
+            executor = run = None
+            gc.collect()
 
 
 class WorkerBridge:
@@ -152,7 +164,7 @@ class WorkerBridge:
                 context.Process(
                     target=_device_worker,
                     args=(i, self._inboxes[i], self.outbox, params,
-                          config, snapshot_every),
+                          config, snapshot_every, True),
                     daemon=True,
                     name=f"repro-pool-dev{i}",
                 )

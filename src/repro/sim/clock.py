@@ -21,7 +21,7 @@ take effect on the next edge, as on the real primitives.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Callable, List, Optional, Protocol, runtime_checkable
 
 from repro.sim.kernel import (
     CLOCK_EPOCH,
@@ -293,11 +293,25 @@ class Clock:
         return self._enabled
 
     def attach(self, component: Clocked) -> None:
-        """Register a component to be driven by this clock."""
-        self.components.append(component)
+        """Register a component to be driven by this clock.
+
+        The list is replaced, not mutated: a running phase finishes over
+        the list it started with (and the fast path re-reads it after)."""
+        self.components = [*self.components, component]
+        CLOCK_EPOCH[0] += 1
 
     def detach(self, component: Clocked) -> None:
-        self.components.remove(component)
+        components = list(self.components)
+        components.remove(component)
+        self.components = components
+        CLOCK_EPOCH[0] += 1
+
+    def phase_calls(self, phase: str) -> List[Callable[[], None]]:
+        """Bound ``phase`` methods of the attached components, in order,
+        minus the no-op ones inherited from :class:`ClockedComponent`."""
+        noop = getattr(ClockedComponent, phase)
+        calls = [getattr(component, phase) for component in self.components]
+        return [f for f in calls if getattr(f, "__func__", None) is not noop]
 
     # ------------------------------------------------------------------
     def start(self) -> None:

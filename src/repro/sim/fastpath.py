@@ -21,10 +21,10 @@ reproduces the heap kernel bit for bit:
   virtual commit,
 * clocks due at the same instant dispatch in pending-edge seq order, and
 * the moment anything non-periodic intrudes -- a callback schedules an
-  event, a clock is gated/ungated, a BUFGMUX reselect bumps
-  :data:`~repro.sim.kernel.CLOCK_EPOCH`, or a phase probe appears -- the
-  engine reconstructs the exact heap state the classic kernel would have
-  had at that point and returns control to it.
+  event, a clock is gated/ungated, a BUFGMUX reselect or a component
+  attach/detach bumps :data:`~repro.sim.kernel.CLOCK_EPOCH`, or a phase
+  probe appears -- the engine reconstructs the exact heap state the
+  classic kernel would have had at that point and returns control to it.
 
 Windows bounded by a ``run_until`` target or by the earliest non-edge
 event never dispatch past either bound, so ``PRIORITY_NORMAL`` timers,
@@ -41,7 +41,7 @@ from __future__ import annotations
 from heapq import heapify, heappush
 from math import gcd
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import (
     CLOCK_EPOCH,
@@ -54,23 +54,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is runtime-lazy
     from repro.sim.clock import Clock
     from repro.sim.kernel import Simulator
 
-#: Hyperperiod tables with more merged edges than this fall back to the
-#: scan dispatcher (min over live next-edge times each instant).  Keeps
+#: Windows whose slot tables would hold more than twice this many merged
+#: edges (tables replay at least two hyperperiods) fall back to the scan
+#: dispatcher (min over live next-edge times each instant).  Keeps
 #: pathological frequency ratios from compiling megabyte tables.
 MAX_TABLE_EDGES = 4096
 
 _BY_SEQ = attrgetter("seq")
 
+#: Compiled ``(offset, due state indices)`` slots and the span they cover.
+_Table = Tuple[List[Tuple[int, Tuple[int, ...]]], int]
+
 
 class _ClockState:
     """Mutable fast-path shadow of one adopted clock's pending edge."""
 
-    __slots__ = ("clock", "next_time", "seq", "period", "commit_seq", "enabled")
+    __slots__ = (
+        "clock", "next_time", "seq", "period", "commit_seq", "enabled",
+        "samples", "commits",
+    )
 
     def __init__(
         self, clock: "Clock", next_time: int, seq: int, period: int
     ) -> None:
         self.clock = clock
+        #: Phase lists, valid until ``CLOCK_EPOCH`` moves.
+        self.samples = clock.phase_calls("sample")
+        self.commits = clock.phase_calls("commit")
         #: Absolute time of the pending (virtual) edge event.
         self.next_time = next_time
         #: Sequence number the pending edge event holds / would hold.
@@ -98,8 +108,7 @@ class FastPathEngine:
         "_edges",
         "_bails",
         "_memo_key",
-        "_memo_slots",
-        "_memo_hyper",
+        "_memo_tables",
     )
 
     def __init__(self, sim: "Simulator") -> None:
@@ -111,8 +120,7 @@ class FastPathEngine:
         self._edges = 0
         self._bails = 0
         self._memo_key: Optional[Tuple[Tuple[int, int], ...]] = None
-        self._memo_slots: Optional[List[Tuple[int, List[int]]]] = None
-        self._memo_hyper = 0
+        self._memo_tables: Optional[Tuple[_Table, _Table]] = None
 
     # ------------------------------------------------------------------
     # public surface used by Simulator / Clock
@@ -209,11 +217,11 @@ class FastPathEngine:
         self._bail_flag = False
         self._windows += 1
         try:
-            slots, hyper = self._compile(states, first_edge)
-            if slots is None:
+            tables = self._compile(states, first_edge)
+            if tables is None:
                 self._scan_window(limit)
             else:
-                self._table_window(limit, slots, hyper, first_edge)
+                self._table_window(limit, tables, first_edge)
         finally:
             self._active = False
             self._states = []
@@ -224,73 +232,71 @@ class FastPathEngine:
     # ------------------------------------------------------------------
     def _compile(
         self, states: List[_ClockState], t0: int
-    ) -> Tuple[Optional[List[Tuple[int, List[int]]]], int]:
-        """Merge the adopted clocks' edge grids into one hyperperiod table.
+    ) -> Optional[Tuple[_Table, _Table]]:
+        """Merge the adopted clocks' edge grids into two slot tables.
 
-        Returns ``(slots, hyperperiod)`` where ``slots`` is a sorted list
-        of ``(offset_from_t0, state_indices)``; ``(None, 0)`` selects the
-        scan dispatcher for oversized tables.  Clock ``i`` fires exactly at
-        times congruent to ``next_time_i`` modulo ``period_i``, so the
-        per-index ``(period, (next_time - t0) % period)`` pairs fully
-        determine the table -- they double as a memo key so back-to-back
-        windows of an unchanged clock set skip recompilation.
+        Returns ``(lead, steady)``: sorted ``(offset, due)`` slots, ``due``
+        being the state indices firing at that offset in pending-seq
+        order, each with its span; ``None`` selects the scan dispatcher.
+        ``lead`` runs once, up to the first hyperperiod multiple past
+        every pending edge (one hyperperiod unless a reselect left an edge
+        further out); ``steady`` then repeats every hyperperiod.  A clock
+        draws its pending seq when it fires, so replaying the draws gives
+        the order; only ``lead`` sees pre-window seqs.  States arrive
+        seq-sorted, so ``(period, next_time - t0)`` pairs are the key.
         """
-        key = tuple(
-            (st.period, (st.next_time - t0) % st.period) for st in states
-        )
+        key = tuple((st.period, st.next_time - t0) for st in states)
         if key == self._memo_key:
-            return self._memo_slots, self._memo_hyper
+            return self._memo_tables
         hyper = 1
         for st in states:
             hyper = hyper * st.period // gcd(hyper, st.period)
-        total_edges = sum(hyper // st.period for st in states)
-        if total_edges > MAX_TABLE_EDGES:
+        lead = hyper * (max(offset for _, offset in key) // hyper + 1)
+        total_edges = sum((lead + hyper) // st.period for st in states)
+        if total_edges > 2 * MAX_TABLE_EDGES:
             self._memo_key = None
-            return None, 0
-        slot_map: Dict[int, List[int]] = {}
-        for index, st in enumerate(states):
-            offset = (st.next_time - t0) % st.period
-            for k in range(hyper // st.period):
-                slot_map.setdefault(offset + k * st.period, []).append(index)
-        slots = sorted(slot_map.items())
+            return None
+        upcoming = [offset for _, offset in key]
+        rank = list(range(len(states)))
+        slots: Tuple[List[Tuple[int, Tuple[int, ...]]], ...] = ([], [])
+        drawn = len(states)
+        while True:
+            t = min(upcoming)
+            if t >= lead + hyper:
+                break
+            due = sorted(
+                (i for i, at in enumerate(upcoming) if at == t),
+                key=lambda i: rank[i],
+            )
+            for i in due:
+                rank[i] = drawn
+                drawn += 1
+                upcoming[i] += states[i].period
+            slots[t >= lead].append((t % lead, tuple(due)))  # hyper <= lead
+        tables = ((slots[0], lead), (slots[1], hyper))
         self._memo_key = key
-        self._memo_slots = slots
-        self._memo_hyper = hyper
-        return slots, hyper
+        self._memo_tables = tables
+        return tables
 
     # ------------------------------------------------------------------
     # dispatchers
     # ------------------------------------------------------------------
     def _table_window(
-        self,
-        limit: int,
-        slots: List[Tuple[int, List[int]]],
-        hyper: int,
-        t0: int,
+        self, limit: int, tables: Tuple[_Table, _Table], t0: int
     ) -> None:
-        """Hot loop: walk the slot table cycle by cycle up to ``limit``."""
-        states = self._states
+        """Hot loop: walk the slot tables cycle by cycle up to ``limit``."""
         cycle = t0
+        slots, span = tables[0]
         while True:
-            for offset, indices in slots:
+            for offset, due in slots:
                 t = cycle + offset
                 if t > limit:
                     self._finish([])
                     return
-                if len(indices) == 1:
-                    st = states[indices[0]]
-                    due = [st] if st.enabled and st.next_time == t else []
-                else:
-                    due = [
-                        states[i]
-                        for i in indices
-                        if states[i].enabled and states[i].next_time == t
-                    ]
-                    if len(due) > 1:
-                        due.sort(key=_BY_SEQ)
-                if due and not self._dispatch_instant(t, due):
+                if not self._dispatch_instant(t, due):
                     return
-            cycle += hyper
+            cycle += span
+            slots, span = tables[1]
 
     def _scan_window(self, limit: int) -> None:
         """Fallback dispatcher: find each next instant by scanning states."""
@@ -303,18 +309,22 @@ class FastPathEngine:
             if t < 0 or t > limit:
                 self._finish([])
                 return
-            due = [st for st in states if st.enabled and st.next_time == t]
-            if len(due) > 1:
-                due.sort(key=_BY_SEQ)
+            due = sorted(
+                (i for i, st in enumerate(states)
+                 if st.enabled and st.next_time == t),
+                key=lambda i: states[i].seq,
+            )
             if not self._dispatch_instant(t, due):
                 return
 
-    def _dispatch_instant(self, t: int, due: List[_ClockState]) -> bool:
+    def _dispatch_instant(self, t: int, due: Sequence[int]) -> bool:
         """Run one merged instant ``t`` exactly as the heap kernel would.
 
-        ``due`` holds the states whose virtual edge fires at ``t``, in
+        ``due`` indexes the states whose virtual edge fires at ``t``, in
         pending-seq order.  Returns False when the window bailed (heap
-        state already reconstructed), True to keep dispatching.
+        state already reconstructed), True to keep dispatching.  Once
+        ``CLOCK_EPOCH`` moves, every later phase of the instant reads its
+        clock's live component list, as ``Clock._edge`` would.
         """
         sim = self.sim
         queue = sim._queue
@@ -322,18 +332,20 @@ class FastPathEngine:
         seq_counter = sim._seq
         epoch = CLOCK_EPOCH
         window_epoch = epoch[0]
+        states = self._states
         sim._now = t
         pending: List[_ClockState] = []
-        samples_run = 0
-        for st in due:
+        for i in due:
+            st = states[i]
             # Re-check: an earlier callback this instant may have gated or
             # re-phased this clock (heap kernel: cancelled its edge event).
             if not st.enabled or st.next_time != t:
                 continue
             clock = st.clock
             clock.cycles += 1
-            for component in clock.components:
-                component.sample()
+            for sample in (st.samples if epoch[0] == window_epoch
+                           else clock.phase_calls("sample")):
+                sample()
             st.commit_seq = next(seq_counter)
             if st.enabled:  # a sample callback may have gated *this* clock
                 st.seq = next(seq_counter)
@@ -344,12 +356,12 @@ class FastPathEngine:
                     self._bail_flag = True
                 st.next_time = t + st.period
             pending.append(st)
-            samples_run += 1
             if len(queue) != base_len:
-                self._edges += samples_run
-                sim.events_processed += samples_run
+                self._edges += len(pending)
+                sim.events_processed += len(pending)
                 self._bail(t, pending)
                 return False
+        samples_run = len(pending)
         self._edges += samples_run
         if sim.phase_probe is not None:
             # A sample callback attached a probe; commits must run
@@ -358,13 +370,14 @@ class FastPathEngine:
             self._bail(t, pending)
             return False
         commits_run = 0
-        for index, st in enumerate(pending):
-            for component in st.clock.components:
-                component.commit()
+        for st in pending:
+            for commit in (st.commits if epoch[0] == window_epoch
+                           else st.clock.phase_calls("commit")):
+                commit()
             commits_run += 1
             if len(queue) != base_len:
                 sim.events_processed += samples_run + commits_run
-                self._bail(t, pending[index + 1 :])
+                self._bail(t, pending[commits_run:])
                 return False
         sim.events_processed += samples_run + commits_run
         if self._bail_flag or epoch[0] != window_epoch:

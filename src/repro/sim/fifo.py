@@ -20,7 +20,7 @@ counter is what the back-pressure benchmarks assert to be zero.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque, List
 
 
 class FifoError(Exception):
@@ -56,7 +56,7 @@ class SyncFifo:
         self.drops = 0
         self.max_occupancy = 0
         # optional obs instruments (see bind_metrics); None = zero cost
-        self._occ_hist = None
+        self._occ_tally = None
         self._drop_counter = None
         # optional ECC shadow (repro.faults): a golden copy of the stored
         # words, so single-bit upsets injected into the BRAM contents are
@@ -68,14 +68,15 @@ class SyncFifo:
     def bind_metrics(self, registry, label: str = "") -> None:
         """Attach this FIFO to an obs metrics registry.
 
-        Records an occupancy histogram sample per successful push and a
-        drop counter per rejected push.  Unbound FIFOs pay only a None
-        check on the data path.
+        Records an occupancy histogram sample per successful push (as a
+        tally the histogram folds in when read) and a drop counter per
+        rejected push.  Unbound FIFOs pay only a None check on the data
+        path.
         """
         labels = {"fifo": label or self.name}
-        self._occ_hist = registry.histogram(
+        self._occ_tally = registry.histogram(
             "repro_fifo_occupancy", labels=labels
-        )
+        ).tally()
         self._drop_counter = registry.counter(
             "repro_fifo_drops_total", labels=labels
         )
@@ -121,8 +122,8 @@ class SyncFifo:
         occupancy = len(data)
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
-        if self._occ_hist is not None:
-            self._occ_hist.observe(occupancy)
+        if self._occ_tally is not None:
+            self._occ_tally[occupancy] += 1
         return True
 
     def pop(self) -> Any:
@@ -211,52 +212,21 @@ class AsyncFifo(SyncFifo):
         self.write_domain = write_domain
         self.read_domain = read_domain
         self.sync_stages = sync_stages
-        self._reader_cycle = 0
-        # (reader_cycle_at_write + sync_stages) for each resident word
-        self._visible_at: Deque[int] = deque()
-
-    def push(self, word: Any) -> bool:
-        # fused copy of SyncFifo.push + visibility bookkeeping (hot path)
-        data = self._data
-        if len(data) >= self.capacity:
-            self.drops += 1
-            if self._drop_counter is not None:
-                self._drop_counter.inc()
-            return False
-        data.append(word)
-        self.pushes += 1
-        if self._ecc is not None:
-            self._ecc.append(word)
-        occupancy = len(data)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
-        if self._occ_hist is not None:
-            self._occ_hist.observe(occupancy)
-        self._visible_at.append(self._reader_cycle + self.sync_stages)
-        return True
-
-    def pop(self) -> Any:
-        word = super().pop()
-        if self._visible_at:
-            self._visible_at.popleft()
-        return word
-
-    def clear(self) -> None:
-        super().clear()
-        self._visible_at.clear()
+        # ``pushes`` at each of the last ``sync_stages`` reader ticks: the
+        # word with push index i is visible once the oldest of them
+        # exceeds i, i.e. after ``sync_stages`` ticks since its write
+        self._ticks: List[int] = []
 
     def reader_tick(self) -> None:
         """Advance the read-side cycle used for flag synchronisation."""
-        self._reader_cycle += 1
+        self._ticks.append(self.pushes)
+        del self._ticks[: -self.sync_stages or None]
 
     @property
     def sync_empty(self) -> bool:
         """Empty flag as seen through the read-side synchroniser."""
-        if not self._visible_at:
-            return True
-        return self._visible_at[0] > self._reader_cycle
-
-
-def interleave_status(fifos: List[SyncFifo]) -> List[Tuple[str, int, int, int]]:
-    """Summarise a set of FIFOs as ``(name, occupancy, capacity, drops)``."""
-    return [(f.name, len(f), f.capacity, f.drops) for f in fifos]
+        if not self._data or self.sync_stages <= 0:
+            return not self._data
+        ticks = self._ticks
+        head = self.pushes - len(self._data)
+        return len(ticks) < self.sync_stages or ticks[0] <= head

@@ -127,6 +127,18 @@ def test_compare_rejects_bad_threshold():
         compare_reports(fake_report(), fake_report(), threshold=1.5)
 
 
+def test_small_normalized_rates_render_non_zero(tmp_path, monkeypatch,
+                                                capsys):
+    tiny = fake_report(scale=0.002)  # normalized 2e-05, like pool_soak
+    table = render_compare(compare_reports(tiny, tiny))
+    assert "2e-05" in table and "0.0000" not in table
+    monkeypatch.setattr("repro.bench.run_bench", lambda **_: tiny)
+    assert main(["bench", "--quick", "--output",
+                 str(tmp_path / "r.json")]) == 0
+    listing = capsys.readouterr().out
+    assert "(normalized 2e-05)" in listing and "0.0000" not in listing
+
+
 def test_compare_prints_reference_seed_speedup():
     baseline = fake_report()
     baseline["reference_seed"] = {

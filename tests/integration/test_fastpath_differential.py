@@ -5,7 +5,8 @@ complete Figure 5 switching methodology and a runtime fleet batch are
 executed twice -- once with the fast path, once on the pure event heap --
 and every externally observable result must be identical: received
 words and their timestamps, methodology steps, words lost, job
-telemetry, final simulation time and the processed-event count.
+telemetry, the Prometheus exposition of every simulated metric, final
+simulation time and the processed-event count.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from repro.core.switching import ModuleSwitcher
 from repro.modules import Iom, MovingAverage
 from repro.modules.base import staged
 from repro.modules.sources import sine_wave
+from repro.obs.export import prometheus_text
 from repro.runtime import (
     ExecutorConfig,
     JobExecutor,
@@ -24,12 +26,26 @@ from repro.runtime import (
 )
 
 
+#: metric families measured in host wall time, not simulated time
+WALL_TIME_FAMILIES = ("repro_executor_quantum_seconds",)
+
+
+def simulated_metrics(registry):
+    text = prometheus_text(registry)
+    assert "repro_fifo_occupancy_bucket" in text
+    return [
+        line for line in text.splitlines()
+        if not any(family in line for family in WALL_TIME_FAMILIES)
+    ]
+
+
 def run_fig5(fastpath):
     params = replace(SystemParameters.prototype(), pr_speedup=1000.0)
     from repro.core.system import VapresSystem
 
     system = VapresSystem(params)
     system.sim.set_fastpath(fastpath)
+    system.bind_metrics()
     iom = Iom("io0", source=sine_wave(count=10_000_000))
     system.attach_iom("rsb0.iom0", iom)
     system.place_module_directly(MovingAverage("filterA", window=4), "rsb0.prr0")
@@ -64,6 +80,7 @@ def run_fig5(fastpath):
         "now": system.sim.now,
         "events_processed": system.sim.events_processed,
         "cycles": system.system_clock.cycles,
+        "metrics": simulated_metrics(system.sim.metrics),
     }
 
 
@@ -98,6 +115,7 @@ def run_fleet(fastpath):
     data.pop("wall_seconds", None)
     for job in data.get("jobs", []):
         job.pop("wall_seconds", None)
+    data["metrics"] = simulated_metrics(report.metrics)
     return data, executor.system.sim
 
 

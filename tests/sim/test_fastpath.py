@@ -62,6 +62,7 @@ def assert_equivalent(freqs, horizon_ps, mutate=None):
     assert sim_f.events_processed == sim_h.events_processed
     assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
     assert drawn_seq(sim_f) == drawn_seq(sim_h)
+    return sim_f, log_f
 
 
 def test_single_clock_equivalence():
@@ -103,6 +104,45 @@ def test_event_scheduled_from_sample_bails_identically():
         clocks[0].attach(Scheduler(sim, []))
 
     assert_equivalent([100e6, 50e6], 300_000, mutate)
+
+
+def test_attach_and_detach_from_clocked_callback_midwindow():
+    """Component-list changes inside an instant: the phase already
+    running keeps its list, every later phase sees the new one."""
+
+    class Rewirer(ClockedComponent):
+        def __init__(self, sim, clocks):
+            self.sim = sim
+            self.clocks = clocks
+            self.log = clocks[0].components[0].log
+
+        def sample(self):
+            # clk1 fires before clk0 whenever both are due
+            if self.sim.now == 60_000:
+                self.clocks[0].detach(self.clocks[0].components[0])
+            elif self.sim.now == 100_000:
+                self.clocks[1].attach(Recorder(self.log, self.sim, "late1"))
+
+        def commit(self):
+            if self.sim.now == 160_000:
+                self.clocks[0].attach(Recorder(self.log, self.sim, "late0"))
+            elif self.sim.now == 200_000:
+                self.clocks[1].detach(self.clocks[1].components[0])
+
+    def mutate(sim, clocks):
+        clocks[1].attach(Rewirer(sim, clocks))
+
+    sim_f, log = assert_equivalent([100e6, 50e6], 300_000, mutate)
+    assert sim_f.fastpath_stats["bails"] >= 4
+    seen = set(log)
+    # a later clock's phase in the same instant sees the change ...
+    assert (50_000, "s", "clk0") in seen and (60_000, "s", "clk0") not in seen
+    assert (160_000, "c", "late0") in seen
+    assert (160_000, "s", "late0") not in seen
+    # ... and so does the changed clock's own next phase, not its running one
+    assert (100_000, "s", "late1") not in seen
+    assert (100_000, "c", "late1") in seen
+    assert (200_000, "c", "clk1") in seen and (220_000, "s", "clk1") not in seen
 
 
 def test_midwindow_gating_equivalence():
@@ -157,6 +197,36 @@ def test_bufgmux_retune_midrun_equivalence():
     assert sim_f.events_processed == sim_h.events_processed
     assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
     assert drawn_seq(sim_f) == drawn_seq(sim_h)
+
+
+def test_fast_reselect_with_far_pending_edge_equivalence():
+    """Slow-to-fast reselect leaves a pending edge several new periods out."""
+
+    def build(fastpath):
+        sim = Simulator(use_fastpath=fastpath)
+        mux = Bufgmux(FixedSource(100e6), FixedSource(25e6))
+        clk = Clock(sim, source=mux, name="lcd")
+        fixed = Clock(sim, freq_hz=100e6, name="sys")
+        log = []
+        clk.attach(Recorder(log, sim, "lcd"))
+        fixed.attach(Recorder(log, sim, "sys"))
+        clk.start()
+        fixed.start()
+        sim.schedule(155_000, lambda: mux.select(1))
+        # Just after the first 25 MHz-spaced edge is scheduled: the pending
+        # LCD edge sits 40 ns out while the new period is 10 ns.
+        sim.schedule(160_001, lambda: mux.select(0))
+        return sim, (clk, fixed), log
+
+    sim_h, clocks_h, log_h = build(False)
+    sim_f, clocks_f, log_f = build(True)
+    sim_h.run_until(400_000)
+    sim_f.run_until(400_000)
+    assert log_f == log_h
+    assert sim_f.events_processed == sim_h.events_processed
+    assert [c.cycles for c in clocks_f] == [c.cycles for c in clocks_h]
+    assert drawn_seq(sim_f) == drawn_seq(sim_h)
+    assert sim_f.fastpath_stats["edges"] > 0
 
 
 def test_retune_from_commit_callback_equivalence():
