@@ -21,9 +21,10 @@ Commands
     error-severity diagnostic is found.
 ``serve``
     Load a JSON jobfile and serve its stream jobs: ``fleet`` mode
-    shards independent jobs across worker processes (one simulated
-    VAPRES instance per job), ``colocate`` mode multi-tenants them on a
-    single instance with admission control and priority preemption.
+    serves independent jobs on a pool of ``--workers`` devices (one
+    fresh simulated VAPRES instance per job), ``colocate`` mode
+    multi-tenants them on a single instance with admission control and
+    priority preemption.
     Prints per-job and fleet telemetry; ``--json`` emits the report as
     JSON, ``--output`` saves it.  ``--trace-out`` writes the run's span
     trace as Chrome trace-event JSON (open in Perfetto or
@@ -338,9 +339,9 @@ def _serve_listen(args: argparse.Namespace, jobfile, config) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.pool import run_batch
     from repro.runtime import (
         ExecutorConfig,
-        FleetExecutor,
         JobError,
         JobExecutor,
         load_jobfile,
@@ -363,13 +364,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else jobfile.workers
     try:
         if mode == "colocate":
-            executor = JobExecutor(params=jobfile.params, config=config)
-            report = executor.run(jobfile.jobs)
+            report = JobExecutor(jobfile.params, config).run(jobfile.jobs)
         else:
-            fleet = FleetExecutor(
-                workers=workers, params=jobfile.params, config=config
-            )
-            report = fleet.run(jobfile.jobs)
+            report = run_batch(jobfile.jobs, workers, jobfile.params, config)
     except JobError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
@@ -867,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, metavar="N",
-        help="fleet worker processes (default: jobfile's, else 1)",
+        help="fleet devices (default: jobfile's, else 1)",
     )
     serve.add_argument(
         "--json", action="store_true",
@@ -1042,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
              "for sysdefs/presets)",
     )
     faults.add_argument("--workers", type=int, metavar="N",
-                        help="fleet worker processes")
+                        help="fleet devices")
     faults.add_argument("--json", action="store_true",
                         help="emit the resilience report as JSON")
     faults.add_argument("--output", metavar="FILE",

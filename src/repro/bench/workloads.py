@@ -7,9 +7,7 @@ changes what a regression means.  This module is the single source of
 truth:
 
 * :func:`fleet_jobs` -- the RT-FLEET batch: 8 independent stream jobs
-  with a rotating stage mix, served either by :class:`FleetExecutor`
-  (classic path) or by the :mod:`repro.pool` device pool (behind
-  ``REPRO_FLEET_BENCH_POOL=1``).
+  with a rotating stage mix, served by :func:`repro.pool.run_batch`.
 * :func:`soak_jobs` -- the pool-soak batch: many tiny jobs shaped like
   ``examples/jobfiles/pool_soak.json``, sized so thousands of them can
   be in flight at once against an overcommitted 4-device pool.

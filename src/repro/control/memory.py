@@ -98,9 +98,6 @@ class Sdram:
             raise MemoryError_(f"SDRAM array not found: {key!r}")
         return self._arrays[key]
 
-    def has_array(self, key: str) -> bool:
-        return key in self._arrays
-
     def icap_transfer_seconds(self, size_bytes: int) -> float:
         """Wall time for the MicroBlaze SDRAM->ICAP copy loop."""
         return size_bytes / self.icap_path_bytes_per_second

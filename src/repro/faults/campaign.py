@@ -15,7 +15,7 @@ simulation (merged metrics registry + job reports); wall-clock and the
 worker count never appear.  Latencies are observed as integer
 microseconds, so histogram sums are exact and merge-order-independent.
 ``sim_us`` is only meaningful for a single shared simulator and is
-``None`` in fleet mode (shard totals depend on the sharding).
+``None`` in fleet mode (device totals depend on placement).
 
 Campaigns inherit the kernel fast path through
 :class:`~repro.runtime.executor.ExecutorConfig` (``use_fastpath``, on by
@@ -32,7 +32,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.params import SystemParameters
 from repro.faults.model import ALL_FAULT_CLASSES, CampaignConfig
-from repro.runtime.executor import ExecutorConfig, FleetExecutor, JobExecutor
+from repro.pool.batch import run_batch
+from repro.runtime.executor import ExecutorConfig, JobExecutor
 from repro.runtime.jobs import JobError, StreamJob, load_jobfile
 from repro.runtime.telemetry import FleetReport
 
@@ -184,12 +185,10 @@ class FaultCampaign:
             if runner.plant is not None:
                 plant_summary = runner.plant.summary()
         else:
-            fleet = FleetExecutor(
-                workers=self.workers,
-                params=self.params,
-                config=exec_config,
-                use_processes=self.use_processes,
-            ).run(self.jobs)
+            fleet = run_batch(
+                self.jobs, self.workers, self.params, exec_config,
+                self.use_processes,
+            )
         resilience = resilience_report(fleet, self.config, plant_summary)
         return CampaignResult(fleet=fleet, resilience=resilience)
 
@@ -259,7 +258,7 @@ def resilience_report(
         "campaign": config.to_dict(),
         "mode": fleet.mode,
         # only one shared simulator has a meaningful end time; fleet
-        # shard totals depend on the sharding, so they are omitted
+        # device totals depend on placement, so they are omitted
         "sim_us": (
             int(fleet.sim_us) if fleet.mode == "colocate" else None
         ),

@@ -11,7 +11,7 @@ that :mod:`repro.sim.kernel` can build on them without an import cycle:
   recording instant events on it.
 * :mod:`~repro.obs.metrics` -- a process-local registry of counters,
   gauges and fixed-bucket histograms that is picklable and mergeable
-  across :class:`~repro.runtime.executor.FleetExecutor` workers.
+  across device-pool workers.
 * :mod:`~repro.obs.export` -- Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``), a text flamegraph-style summary,
   and a Prometheus text-format metrics dump.  Exports are ordered by

@@ -23,9 +23,12 @@ per-device flight recorders dumped on loss/quarantine).
 
 Placement never changes results: every job runs single-tenant with a
 name-derived seed, so a pool run is bit-identical to a single-device
-run of the same jobs.
+run of the same jobs.  :func:`~repro.pool.batch.run_batch` drives the
+same pool synchronously for batch callers (fleet-mode ``serve``, fault
+campaigns, benchmarks).
 """
 
+from repro.pool.batch import run_batch
 from repro.pool.bridge import WorkerBridge
 from repro.pool.client import (
     ClientError,
@@ -43,7 +46,6 @@ from repro.pool.devices import (
     PoolJob,
     PooledDevice,
     VirtualPRR,
-    drain_requeue_on_loss,
 )
 from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
 from repro.pool.server import PoolServer
@@ -61,10 +63,10 @@ __all__ = [
     "StealMove",
     "VirtualPRR",
     "WorkerBridge",
-    "drain_requeue_on_loss",
     "get_json",
     "post_json",
     "request_shutdown",
+    "run_batch",
     "run_jobs",
     "run_jobs_sync",
     "stream_events",

@@ -7,8 +7,7 @@ owns one **device worker** -- a ``multiprocessing`` process (or a plain
 thread with ``use_processes=False``, for tests and single-core hosts)
 that pulls dispatched jobs off an inbox queue via
 :class:`~repro.runtime.jobs.QueueJobSource` and runs each single-tenant
-on a fresh :class:`~repro.runtime.executor.JobExecutor`, exactly like a
-``FleetExecutor`` shard.  Determinism carries over unchanged: a job's
+on a fresh :class:`~repro.runtime.executor.JobExecutor`.  A job's
 results depend only on its own spec and name-derived seed, never on
 which worker ran it.
 
@@ -22,8 +21,11 @@ events are plain picklable tuples::
     ("started",      worker_id, job_id, wall_seconds)
     ("first_sample", worker_id, job_id, wall_seconds)
     ("snapshot",     worker_id, job_id, DeviceSnapshot)
-    ("finished",     worker_id, job_id, JobReport)
+    ("finished",     worker_id, job_id, FleetReport)
     ("error",        worker_id, job_id, "message")
+
+The ``"finished"`` payload is the job's run report and totals without
+spans or metrics (those ride the final snapshot).
 
 Dispatches carry a :class:`~repro.obs.live.TraceContext` alongside the
 spec, so device-side spans join the submitting pool's trace.  With
@@ -43,6 +45,7 @@ import multiprocessing
 import queue
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.runtime.jobs import QueueJobSource
@@ -78,9 +81,7 @@ def _device_worker(
         job_id, spec, ctx = item
         outbox.put(("started", worker_id, job_id, time.monotonic()))
         try:
-            executor = JobExecutor(
-                params=params, config=config, shard=worker_id
-            )
+            executor = JobExecutor(params=params, config=config)
             executor.trace_context = ctx
             executor.on_first_sample = (
                 lambda job, _id=job_id: outbox.put(
@@ -108,6 +109,7 @@ def _device_worker(
                 executor.on_snapshot = _snapshot
             run = executor.run([spec])
             report = run.jobs[0]
+            report.index = job_id
             report.shard = worker_id
             if snapshot_every > 0:
                 outbox.put((
@@ -122,7 +124,10 @@ def _device_worker(
                         events=qualify_tracks(run.span_events, spec.name),
                     ),
                 ))
-            outbox.put(("finished", worker_id, job_id, report))
+            outbox.put((
+                "finished", worker_id, job_id,
+                replace(run, span_events=[], metrics=None),
+            ))
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             outbox.put(
                 ("error", worker_id, job_id,

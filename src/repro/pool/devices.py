@@ -46,7 +46,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.params import SystemParameters
 from repro.obs.live import (
@@ -66,7 +66,7 @@ from repro.pool.scheduler import DeviceView, PoolScheduler, StealMove
 from repro.runtime.admission import AdmissionController, AdmissionDecision
 from repro.runtime.executor import ExecutorConfig
 from repro.runtime.jobs import Job, StreamJob
-from repro.runtime.telemetry import JobReport
+from repro.runtime.telemetry import FleetReport, JobReport
 
 
 class PoolError(Exception):
@@ -110,7 +110,8 @@ class PoolJob:
     state: str = SUBMITTED
     device_id: Optional[int] = None
     vprrs: List[VirtualPRR] = field(default_factory=list)
-    report: Optional[JobReport] = None
+    #: the worker's single-job run (report + totals, no spans/metrics)
+    run: Optional[FleetReport] = None
     failure_reason: str = ""
     first_sample_t: Optional[float] = None
     finished_t: Optional[float] = None
@@ -122,8 +123,6 @@ class PoolJob:
     placed_t: Optional[float] = None
     bound_t: Optional[float] = None
     running_t: Optional[float] = None
-    #: the device-side span shard (trace_id-tagged) from the final snapshot
-    span_shard: List[SpanEvent] = field(default_factory=list)
     #: admission-ledger incarnation on the current device
     runtime: Optional[Job] = None
     done: asyncio.Event = field(default_factory=asyncio.Event)
@@ -131,6 +130,10 @@ class PoolJob:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL
+
+    @property
+    def report(self) -> Optional[JobReport]:
+        return self.run.jobs[0] if self.run is not None else None
 
     def snapshot(self) -> Dict:
         """JSON-safe view for events and ``/stats``."""
@@ -389,6 +392,8 @@ class DevicePool:
         self._draining = False
         self.steals_total = 0
         self.requeues_total = 0
+        #: fail-fast reason for every job not running once it trips
+        self._aborted_by = ""
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -449,17 +454,18 @@ class DevicePool:
             (len(d.physical_prrs) for d in self.devices if not d.lost),
             default=0,
         )
-        if need > widest:
-            self._emit("submitted", job)
+        self._emit("submitted", job)
+        if self._aborted_by:
+            self._fail(job, self._aborted_by)
+        elif need > widest:
             self._fail(
                 job,
                 f"needs {need} PRRs but the widest healthy device has "
                 f"{widest}",
             )
-            return job
-        self._pending.append(job)
-        self._emit("submitted", job)
-        self._schedule()
+        else:
+            self._pending.append(job)
+            self._schedule()
         return job
 
     # ------------------------------------------------------------------
@@ -624,9 +630,8 @@ class DevicePool:
                 for span in snap.events[-4:]:
                     recorder.record_span(span)
         if snap.final:
-            job.span_shard = tag_events(snap.events, job.trace_id)
             self._device_shards.setdefault(snap.device_id, []).extend(
-                job.span_shard
+                tag_events(snap.events, job.trace_id)
             )
             self._emit_pool(
                 "device_snapshot", device=snap.device_id,
@@ -634,21 +639,22 @@ class DevicePool:
                 events=len(snap.events),
             )
 
-    def _finish(self, job: PoolJob, report: JobReport) -> None:
+    def _finish(self, job: PoolJob, run: FleetReport) -> None:
         self._release(job)
-        job.report = report
+        job.run = run
+        report = run.jobs[0]
         job.finished_t = self.clock()
+        self._active_names.discard(job.spec.name)
         if report.state == "DONE":
             job.state = DONE
-            self._active_names.discard(job.spec.name)
             self._emit("done", job, report=report.to_dict())
         else:
             job.state = FAILED
             job.failure_reason = (
                 report.failure_reason or f"ended {report.state}"
             )
-            self._active_names.discard(job.spec.name)
             self._emit("failed", job, report=report.to_dict())
+            self._fail_fast(job, report.state)
         job.done.set()
         self._schedule()
 
@@ -665,6 +671,28 @@ class DevicePool:
         self._active_names.discard(job.spec.name)
         self._emit("failed", job)
         job.done.set()
+        self._fail_fast(job, "FAILED")
+
+    def _fail_fast(self, trigger: PoolJob, state: str) -> None:
+        """With ``config.fail_fast``, the first job to end FAILED or
+        EVICTED fails every job not yet running; running jobs finish.
+        A bound job the worker picks up later is ignored: it is terminal."""
+        if not self.config.fail_fast or self._aborted_by:
+            return
+        self._aborted_by = (
+            f"aborted by fail-fast after job {trigger.spec.name!r} "
+            f"ended {state}"
+        )
+        for job in list(self._jobs.values()):
+            if job.state == SUBMITTED:
+                self._pending.remove(job)
+            elif job.state == PLACED:
+                self.devices[job.device_id].withdraw(job)
+            elif job.state == BOUND:
+                self._release(job)
+            else:
+                continue
+            self._fail(job, self._aborted_by)
 
     def _fail_pending(self, reason: str) -> None:
         while self._pending:
@@ -1050,16 +1078,3 @@ class DevicePool:
             self.metrics.gauge(
                 "repro_pool_tenant_queue_depth", {"tenant": tenant}
             ).set(depth)
-
-
-def drain_requeue_on_loss(
-    pool: DevicePool, quarantines: Sequence[Tuple[int, str]]
-) -> None:
-    """Feed a batch of ``repro.faults`` quarantine signals into the pool.
-
-    Convenience for fault campaigns: each ``(device_id, prr)`` pair is
-    applied in order, with device loss and requeueing handled by the
-    pool exactly as if the signals had arrived live.
-    """
-    for device_id, prr in quarantines:
-        pool.quarantine_prr(device_id, prr)

@@ -368,12 +368,11 @@ class EdfExecutor(JobExecutor):
         self,
         params: Optional[SystemParameters] = None,
         config: Optional[ExecutorConfig] = None,
-        shard: int = 0,
         utilization_bound: float = 1.0,
         min_resident_us: float = 0.0,
         checkpoints: Optional[CheckpointStore] = None,
     ) -> None:
-        super().__init__(params=params, config=config, shard=shard)
+        super().__init__(params=params, config=config)
         self.utilization_bound = utilization_bound
         self.checkpoints = checkpoints or CheckpointStore()
         self.rt_index: Dict[str, RealtimeJob] = {}

@@ -8,8 +8,8 @@ Layers a production-shaped runtime on the behavioural simulation:
   control with priority queueing and preemption planning;
 * :mod:`~repro.runtime.executor` -- the per-system serving loop
   (placement via the ICAP scheduler, channels via the Table-2 API,
-  eviction via the Figure-5 drain path) and the multi-process
-  :class:`~repro.runtime.executor.FleetExecutor`;
+  eviction via the Figure-5 drain path); batches of independent jobs
+  scale out through the device pool (:func:`repro.pool.run_batch`);
 * :mod:`~repro.runtime.telemetry` -- per-job and fleet reports.
 """
 
@@ -19,11 +19,7 @@ from repro.runtime.admission import (
     AdmissionResult,
     Assignment,
 )
-from repro.runtime.executor import (
-    ExecutorConfig,
-    FleetExecutor,
-    JobExecutor,
-)
+from repro.runtime.executor import ExecutorConfig, JobExecutor
 from repro.runtime.jobs import (
     Job,
     JobError,
@@ -47,7 +43,6 @@ __all__ = [
     "AdmissionResult",
     "Assignment",
     "ExecutorConfig",
-    "FleetExecutor",
     "FleetReport",
     "Job",
     "JobError",

@@ -3,8 +3,8 @@
 A :class:`StreamJob` is the unit of work the runtime serves: a chain of
 hardware-module stages fed by one IOM source and sinking back into the
 same IOM, with a priority, an optional deadline and placement/retry
-policy.  It is a plain declarative spec -- picklable (so the fleet
-executor can ship it to worker processes) and JSON round-trippable (so
+policy.  It is a plain declarative spec -- picklable (so the device
+pool can ship it to worker processes) and JSON round-trippable (so
 ``python -m repro serve`` can load job files).
 
 The lifecycle follows the state machine::
@@ -210,7 +210,7 @@ class SourceSpec:
 
         Seeded kinds fall back to ``default_seed`` (the executor derives
         it from the job name) so results are reproducible regardless of
-        which fleet shard runs the job.
+        which device runs the job.
         """
         p = self.params
         if self.kind == "ramp":
@@ -307,7 +307,7 @@ class StreamJob:
 
     @property
     def seed(self) -> int:
-        """Deterministic per-job seed (stable across fleet shardings)."""
+        """Deterministic per-job seed (stable across device placements)."""
         return zlib.crc32(self.name.encode("utf-8"))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -595,7 +595,7 @@ class JobFile:
     name: str
     params: SystemParameters
     jobs: List[StreamJob]
-    mode: str = "fleet"  # "fleet" (sharded, single-tenant) | "colocate"
+    mode: str = "fleet"  # "fleet" (device pool, single-tenant) | "colocate"
     workers: int = 1
     executor: Dict[str, Any] = field(default_factory=dict)
     schema_version: int = JOBFILE_SCHEMA_VERSION

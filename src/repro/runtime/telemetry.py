@@ -5,7 +5,7 @@ placement latency, throughput, output-stream continuity via
 :mod:`repro.analysis.metrics`, eviction/retry counts); a run of the
 executor aggregates them into a :class:`FleetReport` with fleet-level
 counters (jobs by final state, aggregate throughput, ICAP busy
-fraction, wall-clock).  Both are plain data -- picklable across fleet
+fraction, wall-clock).  Both are plain data -- picklable across pool
 worker processes and exportable as JSON by ``python -m repro serve``.
 """
 
@@ -86,12 +86,7 @@ class JobReport:
         return cls(**{k: v for k, v in data.items() if k in known})
 
     @classmethod
-    def from_job(
-        cls,
-        job,
-        shard: int = 0,
-        nominal_period_s: float = 1e-8,
-    ) -> "JobReport":
+    def from_job(cls, job, nominal_period_s: float = 1e-8) -> "JobReport":
         """Distill a finished runtime job into its report."""
         spec = job.spec
         queue_wait = 0.0
@@ -115,7 +110,6 @@ class JobReport:
             name=spec.name,
             span_track=f"job/{spec.name}",
             index=job.index,
-            shard=shard,
             state=job.state.value,
             priority=spec.priority,
             stages=len(spec.stages),

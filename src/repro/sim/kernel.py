@@ -89,10 +89,6 @@ class TraceEvent:
     seq: int = 0
 
     @property
-    def time_ns(self) -> float:
-        return self.time / 1_000.0
-
-    @property
     def time_us(self) -> float:
         return self.time / 1_000_000.0
 
@@ -156,10 +152,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in picoseconds."""
         return self._now
-
-    @property
-    def now_seconds(self) -> float:
-        return self._now / PS_PER_SECOND
 
     # ------------------------------------------------------------------
     # scheduling

@@ -6,9 +6,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs.export import load_chrome_trace
+from repro.pool import run_batch
 from repro.runtime import (
     ExecutorConfig,
-    FleetExecutor,
     SourceSpec,
     StreamJob,
 )
@@ -87,10 +87,7 @@ def _run(workers: int) -> FleetReport:
 
     params = replace(SystemParameters.prototype(), pr_speedup=20000.0)
     config = ExecutorConfig(quantum_us=10.0, max_us=5000.0)
-    fleet = FleetExecutor(
-        workers=workers, params=params, config=config, use_processes=False
-    )
-    return fleet.run(_specs())
+    return run_batch(_specs(), workers, params, config, use_processes=False)
 
 
 def test_fleet_metrics_merge_is_worker_count_invariant():

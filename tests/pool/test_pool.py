@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.params import SystemParameters
 from repro.pool import DevicePool, PoolError
-from repro.runtime import ExecutorConfig, FleetExecutor
+from repro.runtime import ExecutorConfig, JobExecutor
 from repro.runtime.jobs import SourceSpec, StageSpec, StreamJob
 
 FAST = replace(SystemParameters.prototype(), pr_speedup=20_000.0)
@@ -69,16 +69,16 @@ def test_pool_runs_batch_to_done():
 
 def test_pool_results_match_single_device_and_fleet():
     """Differential determinism: 4-device overcommitted pool ==
-    1-device pool == plain FleetExecutor, job for job."""
+    1-device pool == each job run solo on its own JobExecutor."""
     specs = [
         tiny_job(f"d{i}", stages=1 + i % 2, count=6 + i) for i in range(8)
     ]
     pool4, jobs4 = asyncio.run(run_pool(specs, devices=4))
     pool1, jobs1 = asyncio.run(run_pool(specs, devices=1))
-    fleet = FleetExecutor(
-        workers=1, params=FAST, config=CONFIG, use_processes=False
-    ).run(specs)
-    by_name = {r.name: r for r in fleet.jobs}
+    by_name = {
+        spec.name: JobExecutor(params=FAST, config=CONFIG).run([spec]).jobs[0]
+        for spec in specs
+    }
     for j4, j1 in zip(jobs4, jobs1):
         assert fingerprint(j4) == fingerprint(j1)
         f = by_name[j4.spec.name]
@@ -87,6 +87,15 @@ def test_pool_results_match_single_device_and_fleet():
         assert j4.report.state == f.state
     # the 4-device run really did spread work around
     assert len({j.device_id for j in jobs4}) > 1
+
+
+def test_reports_carry_submission_index():
+    """A served job's report index is its pool job id (submission
+    order), so ``/jobs`` done events name distinct, ordered jobs."""
+    specs = [tiny_job(f"ix{i}") for i in range(6)]
+    _, jobs = asyncio.run(run_pool(specs, devices=2))
+    assert [job.id for job in jobs] == list(range(6))
+    assert [job.report.index for job in jobs] == list(range(6))
 
 
 def test_overcommit_grants_beyond_physical_but_binds_within():

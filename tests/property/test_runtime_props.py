@@ -1,10 +1,11 @@
 """Property tests: fleet execution is deterministic in the worker count.
 
-The FleetExecutor's contract is that sharding is a pure wall-clock
-optimisation: every job runs single-tenant on a fresh simulated system
-seeded from its own name, so the same job list must yield bit-identical
-per-job telemetry (outputs, final states, gap statistics) whether it is
-served by one worker or four.
+The fleet runner's (:func:`repro.pool.run_batch`) contract is that the
+device count is a pure wall-clock optimisation: every job runs
+single-tenant on a fresh simulated system seeded from its own name, so
+the same job list must yield bit-identical per-job telemetry (outputs,
+final states, gap statistics) whether it is served by one device or
+four.
 """
 
 from dataclasses import replace
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import SystemParameters
+from repro.pool import run_batch
 from repro.runtime import (
     ExecutorConfig,
-    FleetExecutor,
     SourceSpec,
     StageSpec,
     StreamJob,
@@ -54,7 +55,7 @@ def job_lists(draw):
 
 
 def comparable(report):
-    """Per-job telemetry minus the shard id (the only legal difference)."""
+    """Per-job telemetry minus the device id (the only legal difference)."""
     rows = []
     for job in report.jobs:
         row = job.to_dict()
@@ -66,12 +67,8 @@ def comparable(report):
 @settings(max_examples=8, deadline=None)
 @given(jobs=job_lists())
 def test_worker_count_never_changes_results(jobs):
-    single = FleetExecutor(
-        workers=1, params=FAST, config=CONFIG, use_processes=False
-    ).run(jobs)
-    quad = FleetExecutor(
-        workers=4, params=FAST, config=CONFIG, use_processes=False
-    ).run(jobs)
+    single = run_batch(jobs, 1, FAST, CONFIG, use_processes=False)
+    quad = run_batch(jobs, 4, FAST, CONFIG, use_processes=False)
     assert comparable(single) == comparable(quad)
     assert all(job.state == "DONE" for job in single.jobs)
 
@@ -85,16 +82,14 @@ def test_worker_count_never_changes_results(jobs):
     ),
 )
 def test_seeded_sources_depend_only_on_job_name(count, seed_name):
-    """A noise-fed job's output is a function of its name, not its shard."""
+    """A noise-fed job's output is a function of its name, not its device."""
     job = StreamJob(
         name=seed_name,
         stages=[StageSpec("passthrough")],
         source=SourceSpec("noise", count=count),
     )
     runs = [
-        FleetExecutor(
-            workers=w, params=FAST, config=CONFIG, use_processes=False
-        ).run([job])
+        run_batch([job], w, FAST, CONFIG, use_processes=False)
         for w in (1, 2)
     ]
     first, second = (comparable(r) for r in runs)

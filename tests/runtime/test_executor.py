@@ -1,4 +1,4 @@
-"""End-to-end tests for the colocated executor and the fleet.
+"""End-to-end tests for the colocated executor and the fleet runner.
 
 These run real simulations (MicroBlaze software, ICAP reconfiguration,
 switch-box channels), so sources are kept small.
@@ -9,9 +9,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.params import SystemParameters
+from repro.pool import run_batch
 from repro.runtime import (
     ExecutorConfig,
-    FleetExecutor,
     JobError,
     JobExecutor,
     SourceSpec,
@@ -169,41 +169,50 @@ def test_executor_config_validation():
 # ----------------------------------------------------------------------
 def test_fleet_merges_in_submission_order():
     jobs = [ramp_job(f"job{i}", count=80 + 10 * i) for i in range(5)]
-    fleet = FleetExecutor(
-        workers=3, params=FAST, config=CONFIG, use_processes=False
-    )
-    report = fleet.run(jobs)
+    report = run_batch(jobs, 3, FAST, CONFIG, use_processes=False)
     assert [j.name for j in report.jobs] == [f"job{i}" for i in range(5)]
+    assert [j.index for j in report.jobs] == list(range(5))
     assert report.states == {"DONE": 5}
     assert {j.shard for j in report.jobs} == {0, 1, 2}
 
 
 def test_fleet_rejects_duplicate_names():
-    fleet = FleetExecutor(workers=2, params=FAST, use_processes=False)
     with pytest.raises(JobError, match="unique"):
-        fleet.run([ramp_job("dup"), ramp_job("dup")])
+        run_batch([ramp_job("dup"), ramp_job("dup")], 2, FAST,
+                  use_processes=False)
 
 
 def test_fleet_worker_count_is_clamped():
-    fleet = FleetExecutor(workers=8, params=FAST, config=CONFIG,
-                          use_processes=False)
-    report = fleet.run([ramp_job("only", count=60)])
-    assert report.workers == 1  # one job, one shard
+    report = run_batch([ramp_job("only", count=60)], 8, FAST, CONFIG,
+                       use_processes=False)
+    assert report.workers == 1  # one job, one device
     with pytest.raises(JobError):
-        FleetExecutor(workers=0)
+        run_batch([ramp_job("only", count=60)], 0)
+
+
+def test_fleet_reports_a_job_no_device_can_hold():
+    wide = [StageSpec("passthrough") for _ in range(3)]
+    report = run_batch(
+        [ramp_job("fits", count=60), ramp_job("too-wide", stages=wide)],
+        1, FAST, CONFIG, use_processes=False,
+    )
+    refused = report.job("too-wide")
+    assert (refused.state, refused.index, refused.stages) == ("FAILED", 1, 3)
+    assert refused.failure_reason == (
+        "needs 3 PRRs but the widest healthy device has 2"
+    )
+    assert report.job("fits").state == "DONE"
 
 
 def test_fleet_real_processes_match_inline():
     """Real multiprocessing returns the same reports as in-process."""
     jobs = [ramp_job(f"p{i}", count=60) for i in range(4)]
-    inline = FleetExecutor(
-        workers=2, params=FAST, config=CONFIG, use_processes=False
-    ).run(jobs)
-    forked = FleetExecutor(
-        workers=2, params=FAST, config=CONFIG, use_processes=True
-    ).run(jobs)
+    inline = run_batch(jobs, 2, FAST, CONFIG, use_processes=False)
+    forked = run_batch(jobs, 2, FAST, CONFIG, use_processes=True)
     for a, b in zip(inline.jobs, forked.jobs):
         da, db = a.to_dict(), b.to_dict()
+        # which device ran a job depends on worker timing
+        da.pop("shard"), db.pop("shard")
         assert da == db
 
 
@@ -232,14 +241,38 @@ def test_fail_fast_fleet_skips_rest_of_shard():
         ramp_job("never-ran", count=100),
     ]
     config = replace(CONFIG, fail_fast=True)
-    fleet = FleetExecutor(
-        workers=1, params=FAST, config=config, use_processes=False
-    )
-    report = fleet.run(jobs)
+    report = run_batch(jobs, 1, FAST, config, use_processes=False)
     skipped = report.job("never-ran")
     assert skipped.state == "FAILED"
     assert "aborted by fail-fast" in skipped.failure_reason
     assert skipped.words_out == 0  # synthesised report; job never ran
+
+
+def test_fail_fast_is_pool_wide():
+    """The first failure aborts every job that has not started on any
+    device; a job already running on another device finishes.  Each
+    job needs both PRRs of a device, so the queued jobs are never bound
+    while the first two run, and never reach a worker."""
+    wide = [StageSpec("passthrough"), StageSpec("passthrough")]
+    jobs = [
+        ramp_job("rushed", count=500_000, deadline_us=30.0, stages=wide),
+        ramp_job("runner", count=4000, stages=list(wide)),
+    ] + [ramp_job(f"queued{i}", stages=list(wide)) for i in range(4)]
+    config = replace(CONFIG, fail_fast=True)
+    report = run_batch(jobs, 2, FAST, config, use_processes=False)
+    assert report.job("rushed").state == "FAILED"
+    assert report.job("runner").state == "DONE"
+    traced = {event.track.split("/")[1] for event in report.span_events}
+    assert {"rushed", "runner"} <= traced
+    for i in range(4):
+        queued = report.job(f"queued{i}")
+        assert queued.state == "FAILED"
+        assert queued.failure_reason == (
+            "aborted by fail-fast after job 'rushed' ended FAILED"
+        )
+        assert queued.words_out == 0
+        assert f"queued{i}" not in traced
+    assert report.metrics.value("repro_icap_transfers_total") == 4
 
 
 def test_without_fail_fast_survivors_complete():
@@ -247,10 +280,7 @@ def test_without_fail_fast_survivors_complete():
         ramp_job("rushed", count=500_000, deadline_us=30.0),
         ramp_job("survivor", count=100),
     ]
-    fleet = FleetExecutor(
-        workers=1, params=FAST, config=CONFIG, use_processes=False
-    )
-    report = fleet.run(jobs)
+    report = run_batch(jobs, 1, FAST, CONFIG, use_processes=False)
     assert report.job("rushed").state == "FAILED"
     assert report.job("survivor").state == "DONE"
 
