@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.params import SystemParameters
 from repro.pool.devices import DevicePool, PoolJob
 from repro.runtime.executor import ExecutorConfig
-from repro.runtime.jobs import JobError, JobState, StreamJob, as_job_source
+from repro.runtime.jobs import JobError, JobState, StreamJob
 from repro.runtime.telemetry import FleetReport, JobReport
 
 
@@ -35,7 +35,9 @@ def run_batch(
     """
     if workers < 1:
         raise JobError("workers must be >= 1")
-    specs = list(as_job_source(specs))  # rejects duplicate names
+    specs = list(specs)
+    if len({spec.name for spec in specs}) != len(specs):
+        raise JobError("job names must be unique")
     devices = max(1, min(workers, len(specs)))
     started = time.perf_counter()
 

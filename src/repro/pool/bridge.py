@@ -5,9 +5,9 @@ one inside the event loop would stall every connected tenant for the
 whole job.  Each :class:`~repro.pool.devices.PooledDevice` therefore
 owns one **device worker** -- a ``multiprocessing`` process (or a plain
 thread with ``use_processes=False``, for tests and single-core hosts)
-that pulls dispatched jobs off an inbox queue via
-:class:`~repro.runtime.jobs.QueueJobSource` and runs each single-tenant
-on a fresh :class:`~repro.runtime.executor.JobExecutor`.  A job's
+that pulls dispatched jobs off an inbox queue (``None`` closes it) and
+runs each single-tenant on a fresh
+:class:`~repro.runtime.executor.JobExecutor`.  A job's
 results depend only on its own spec and name-derived seed, never on
 which worker ran it.
 
@@ -48,8 +48,6 @@ import time
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
-from repro.runtime.jobs import QueueJobSource
-
 #: pump-side sentinel: the bridge is closed, stop the event task
 _CLOSED = ("__bridge_closed__", -1, -1, None)
 
@@ -76,8 +74,7 @@ def _device_worker(
     # Thread workers share the server's heap and must leave it alone.
     if collect:
         gc.freeze()
-    source = QueueJobSource(inbox)
-    for item in source:
+    for item in iter(inbox.get, None):
         job_id, spec, ctx = item
         outbox.put(("started", worker_id, job_id, time.monotonic()))
         try:
@@ -224,7 +221,7 @@ class WorkerBridge:
             return
         self._closed = True
         for inbox in self._inboxes:
-            QueueJobSource(inbox).close()
+            inbox.put(None)
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             await loop.run_in_executor(None, worker.join)

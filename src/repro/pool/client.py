@@ -17,6 +17,7 @@ test are both built on this module.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from typing import AsyncIterator, Callable, Dict, Optional, Sequence
 
@@ -172,26 +173,38 @@ def run_jobs_sync(
     return asyncio.run(run_jobs(host, port, jobs, tenant, on_event))
 
 
-async def get_json(host: str, port: int, path: str) -> Dict:
-    """Fetch one of the GET endpoints (``/healthz``, ``/stats``)."""
+@contextlib.asynccontextmanager
+async def _request(
+    host: str, port: int, method: str, path: str, check: bool = True
+) -> AsyncIterator[asyncio.StreamReader]:
+    """Send one bodyless request; yield the reader past the response head.
+
+    With ``check``, a non-200 status raises ``ClientError`` naming the
+    request.  The connection closes when the block exits.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(
-            f"GET {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Connection: close\r\n\r\n".encode("ascii")
-        )
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+        if method == "POST":
+            head += "Content-Length: 0\r\n"
+        writer.write((head + "Connection: close\r\n\r\n").encode("ascii"))
         await writer.drain()
         status = await _read_response_head(reader)
-        body = await reader.read()
-        if "200" not in status:
-            raise ClientError(f"GET {path}: {status!r}")
-        return json.loads(body)
+        if check and "200" not in status:
+            raise ClientError(f"{method} {path}: {status!r}")
+        yield reader
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def get_json(host: str, port: int, path: str) -> Dict:
+    """Fetch one of the GET endpoints (``/healthz``, ``/stats``)."""
+    async with _request(host, port, "GET", path) as reader:
+        return json.loads(await reader.read())
 
 
 async def stream_events(
@@ -203,16 +216,7 @@ async def stream_events(
     stream, or after ``limit`` events when given (``python -m repro
     obs tail --connect`` uses this).
     """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            f"GET /events HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Connection: close\r\n\r\n".encode("ascii")
-        )
-        await writer.drain()
-        status = await _read_response_head(reader)
-        if "200" not in status:
-            raise ClientError(f"GET /events: {status!r}")
+    async with _request(host, port, "GET", "/events") as reader:
         seen = 0
         while limit is None or seen < limit:
             line = await reader.readline()
@@ -222,52 +226,15 @@ async def stream_events(
                 continue
             yield json.loads(line)
             seen += 1
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def post_json(host: str, port: int, path: str) -> object:
     """POST to one of the bodyless endpoints (``/debug/...``)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            f"POST {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Content-Length: 0\r\nConnection: close\r\n\r\n"
-            .encode("ascii")
-        )
-        await writer.drain()
-        status = await _read_response_head(reader)
-        body = await reader.read()
-        if "200" not in status:
-            raise ClientError(f"POST {path}: {status!r}")
-        return json.loads(body)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    async with _request(host, port, "POST", path) as reader:
+        return json.loads(await reader.read())
 
 
 async def request_shutdown(host: str, port: int) -> None:
     """Ask a pool server to drain and exit (the SIGTERM path over TCP)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            f"POST /shutdown HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Content-Length: 0\r\nConnection: close\r\n\r\n"
-            .encode("ascii")
-        )
-        await writer.drain()
-        await _read_response_head(reader)
+    async with _request(host, port, "POST", "/shutdown", check=False) as reader:
         await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass

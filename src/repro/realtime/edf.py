@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.params import SystemParameters
-from repro.realtime.checkpoint import CheckpointStore, JobCheckpoint
 from repro.realtime.specs import (
     FrameOutcome,
     RealtimeError,
@@ -80,7 +79,6 @@ class DeadlineAdmission(AdmissionController):
         self.utilization_bound = utilization_bound
         self.min_resident_us = min_resident_us
         self._util_by_job: Dict[str, float] = {}
-        self._decision_now_us = 0.0
 
     # ------------------------------------------------------------------
     def _queue_key(self, job: Job):
@@ -134,49 +132,23 @@ class DeadlineAdmission(AdmissionController):
         self._util_by_job.pop(job.spec.name, None)
 
     # ------------------------------------------------------------------
-    def next_decision(self, now_us: float, resident_jobs: List[Job]):
-        self._decision_now_us = now_us
-        return super().next_decision(now_us, resident_jobs)
-
-    def _plan_preemption(
-        self, job: Job, resident_jobs: List[Job]
-    ) -> List[Job]:
-        """EDF victim choice: strictly-later deadlines, latest first."""
-        horizon = self.deadline_of(job)
-        now = self._decision_now_us
-        candidates = []
-        for resident in resident_jobs:
-            if not resident.spec.preemptible:
-                continue
-            if resident.spec.name not in self._resident:
-                continue
-            if resident.state not in (
-                JobState.ADMITTED, JobState.PLACING, JobState.RUNNING,
-            ):
-                continue
-            if not self.deadline_of(resident) > horizon:
-                continue
-            if (
-                self.min_resident_us > 0.0
-                and resident.state is JobState.RUNNING
-                and resident.running_us is not None
-                and now - resident.running_us < self.min_resident_us
-            ):
-                continue
-            candidates.append(resident)
-        if not candidates:
-            return []
-        candidates.sort(
-            key=lambda v: (
-                -self.deadline_of(v), -(v.admitted_us or 0.0), -v.index,
-            )
+    def _may_preempt(self, job: Job, resident: Job, now_us: float) -> bool:
+        """EDF: strictly-later deadlines, past the hysteresis window."""
+        if not self.deadline_of(resident) > self.deadline_of(job):
+            return False
+        return not (
+            self.min_resident_us > 0.0
+            and resident.state is JobState.RUNNING
+            and resident.running_us is not None
+            and now_us - resident.running_us < self.min_resident_us
         )
-        victims: List[Job] = []
-        for victim in candidates:
-            victims.append(victim)
-            if self._fits_after_evicting(job, victims):
-                return victims
-        return []
+
+    def _victim_key(self, victim: Job):
+        """Latest deadline first, then most recently admitted."""
+        return (
+            -self.deadline_of(victim), -(victim.admitted_us or 0.0),
+            -victim.index,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +334,7 @@ def score_run(
 # the EDF executor
 # ----------------------------------------------------------------------
 class EdfExecutor(JobExecutor):
-    """Preemptive EDF serving loop with checkpoint/restore swaps."""
+    """Preemptive EDF serving loop with suspend/resume swaps."""
 
     def __init__(
         self,
@@ -370,26 +342,25 @@ class EdfExecutor(JobExecutor):
         config: Optional[ExecutorConfig] = None,
         utilization_bound: float = 1.0,
         min_resident_us: float = 0.0,
-        checkpoints: Optional[CheckpointStore] = None,
     ) -> None:
-        super().__init__(params=params, config=config)
         self.utilization_bound = utilization_bound
-        self.checkpoints = checkpoints or CheckpointStore()
+        self.min_resident_us = min_resident_us
         self.rt_index: Dict[str, RealtimeJob] = {}
         self._required: Dict[str, List[int]] = {}
         self._frame_deadlines: Dict[str, List[float]] = {}
         self._judged: Dict[str, int] = {}
-        # swap the priority admission for the deadline-ordered one
-        self.admission = DeadlineAdmission(
+        super().__init__(params=params, config=config)
+
+    def _make_admission(self) -> DeadlineAdmission:
+        return DeadlineAdmission(
             self.params,
             floorplan=self.system.floorplan,
             allow_preemption=True,
             deadline_of=self._deadline_of,
             utilization_of=self._utilization_of,
-            utilization_bound=utilization_bound,
-            min_resident_us=min_resident_us,
+            utilization_bound=self.utilization_bound,
+            min_resident_us=self.min_resident_us,
         )
-        self.admission.bind_metrics(self.system.sim.metrics)
 
     # ------------------------------------------------------------------
     # policy callbacks
@@ -434,44 +405,6 @@ class EdfExecutor(JobExecutor):
         ):
             return
         super()._evict(victim, evicted_by)
-
-    def suspend_job(
-        self, job: Job, requested_by: Optional[Job] = None
-    ) -> bool:
-        assignment = job.assignment
-        suspended = super().suspend_job(job, requested_by=requested_by)
-        if (
-            suspended
-            and job.resume is not None
-            and assignment is not None
-        ):
-            self.checkpoints.put(
-                JobCheckpoint.from_resume(
-                    job.spec,
-                    job.resume,
-                    prrs=assignment.prrs,
-                    slices_needed=self.admission._stage_slices(job),
-                )
-            )
-        return suspended
-
-    def _start_placement(self, job: Job) -> None:
-        if job.resume is not None and job.assignment is not None:
-            checkpoint = self.checkpoints.take(job.spec.name)
-            if checkpoint is not None:
-                targets = [
-                    self.admission._prr_slices.get(prr, 0)
-                    for prr in job.assignment.prrs
-                ]
-                if not checkpoint.compatible_with(targets):
-                    self.admission.release(job)
-                    job.fail(
-                        "checkpoint incompatible with assigned PRR shape",
-                        self._now_us,
-                    )
-                    self._mark_failed(job, "checkpoint incompatible")
-                    return
-        super()._start_placement(job)
 
     def _complete(self, job: Job) -> None:
         super()._complete(job)

@@ -741,7 +741,7 @@ class AdmissionController:
                     AdmissionDecision.ADMIT, assignment=assignment
                 )
             if self.allow_preemption and preempt_plan is None:
-                victims = self._plan_preemption(job, resident_jobs)
+                victims = self._plan_preemption(job, resident_jobs, now_us)
                 if victims:
                     preempt_plan = (job, victims)
         if preempt_plan is not None:
@@ -753,32 +753,39 @@ class AdmissionController:
         return None
 
     def _plan_preemption(
-        self, job: Job, resident_jobs: List[Job]
+        self, job: Job, resident_jobs: List[Job], now_us: float
     ) -> List[Job]:
-        """Smallest set of lower-priority residents whose eviction lets
-        ``job`` fit.  Victims are chosen cheapest-first: lowest priority,
-        then most recently admitted."""
+        """Smallest prefix of the victim order whose eviction lets
+        ``job`` fit.  Only preemptible residents that
+        :meth:`_may_preempt` allows are candidates, taken in
+        :meth:`_victim_key` order."""
         candidates = [
             resident
             for resident in resident_jobs
             if resident.spec.preemptible
-            and resident.spec.priority < job.spec.priority
             and resident.spec.name in self._resident
             and resident.state in (
                 JobState.ADMITTED, JobState.PLACING, JobState.RUNNING,
             )
+            and self._may_preempt(job, resident, now_us)
         ]
-        if not candidates:
-            return []
-        candidates.sort(
-            key=lambda v: (v.spec.priority, -(v.admitted_us or 0.0), -v.index)
-        )
+        candidates.sort(key=self._victim_key)
         victims: List[Job] = []
         for victim in candidates:
             victims.append(victim)
             if self._fits_after_evicting(job, victims):
                 return victims
         return []
+
+    def _may_preempt(self, job: Job, resident: Job, now_us: float) -> bool:
+        """Priority policy: only strictly lower-priority residents."""
+        return resident.spec.priority < job.spec.priority
+
+    def _victim_key(self, victim: Job):
+        """Cheapest victim first: lowest priority, most recently admitted."""
+        return (
+            victim.spec.priority, -(victim.admitted_us or 0.0), -victim.index,
+        )
 
     def _fits_after_evicting(self, job: Job, victims: List[Job]) -> bool:
         """Trial assignment with the victims' grants transiently freed."""

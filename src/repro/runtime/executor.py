@@ -146,11 +146,7 @@ class JobExecutor:
         self.system.sim.set_fastpath(self.config.use_fastpath)
         self.scheduler = ReconfigScheduler(self.system.engine)
         self.switcher = ModuleSwitcher(self.system)
-        self.admission = AdmissionController(
-            self.params,
-            floorplan=self.system.floorplan,
-            allow_preemption=self.config.allow_preemption,
-        )
+        self.admission = self._make_admission()
         self.preemptions = 0
         self._jobs: List[Job] = []
         #: optional observer fired once per job when its first output
@@ -193,6 +189,14 @@ class JobExecutor:
         describe_realtime_metrics(self.system.sim.metrics)
         describe_compaction_metrics(self.system.sim.metrics)
 
+    def _make_admission(self) -> AdmissionController:
+        """The admission policy; subclasses swap in their own."""
+        return AdmissionController(
+            self.params,
+            floorplan=self.system.floorplan,
+            allow_preemption=self.config.allow_preemption,
+        )
+
     # ------------------------------------------------------------------
     @property
     def _now_us(self) -> float:
@@ -222,9 +226,24 @@ class JobExecutor:
         while tracer.open_spans(track):
             tracer.end(track=track)
 
-    def _mark_failed(self, job: Job, reason: str) -> None:
+    def _end_spans(self, job: Job, event: str, **attrs) -> None:
+        """Close the job's open spans and mark how this incarnation ended."""
         self._close_job_spans(job)
-        self._job_instant(job, "failed", reason=reason)
+        self._job_instant(job, event, **attrs)
+
+    def _mark_failed(self, job: Job, reason: str) -> None:
+        self._end_spans(job, "failed", reason=reason)
+
+    def _kill(self, job: Job, reason: str, tag: Optional[str] = None) -> None:
+        """Fail a job where it stands: teardown, release, FAILED.
+
+        ``tag`` is the short reason on the trace's ``failed`` instant
+        (default: the full ``reason``).
+        """
+        self._teardown(job)
+        self.admission.release(job)
+        job.fail(reason, self._now_us)
+        self._mark_failed(job, reason if tag is None else tag)
 
     def _refresh_gauges(self) -> None:
         metrics = self.system.sim.metrics
@@ -293,10 +312,7 @@ class JobExecutor:
                                     f"runtime budget exhausted while "
                                     f"queued ({block.detail})"
                                 )
-                        self._teardown(job)
-                        self.admission.release(job)
-                        job.fail(reason, self._now_us)
-                        self._mark_failed(job, reason)
+                        self._kill(job, reason)
                 break
             quantum_started = time.perf_counter()
             self.system.run_for_us(self.config.quantum_us)
@@ -335,12 +351,8 @@ class JobExecutor:
             f"ended {trigger.state.value}"
         )
         for job in self._jobs:
-            if job.terminal:
-                continue
-            self._teardown(job)
-            self.admission.release(job)
-            job.fail(reason, self._now_us)
-            self._mark_failed(job, reason)
+            if not job.terminal:
+                self._kill(job, reason)
         return True
 
     # ------------------------------------------------------------------
@@ -679,27 +691,13 @@ class JobExecutor:
         job.fault_evictions += 1
         if prr is not None:
             self.admission.mark_faulted(prr)
-        if job.state is JobState.RUNNING:
-            report = self.system.microblaze.run_to_completion(
-                self._eviction_software(job), f"{job.spec.name}-fault-evict"
-            )
-            job.drained = True
-            job.state_words = list(report.state_words)
-            job.words_lost += report.words_lost
-            job.words_out = len(job.iom.received)
-            job.receive_times = list(job.iom.receive_times)
-            job.output_history.append(list(job.receive_times))
-        else:
-            for request in job.requests:
-                self.scheduler.cancel(request)
-        self.admission.release(job)
+        self._vacate(job, "fault-evict")
         job.evictions += 1
         self.system.sim.metrics.counter("repro_fault_evictions_total").inc()
         self.system.sim.log(
             "runtime", f"job {job.spec.name} evicted by fault: {reason}"
         )
-        self._close_job_spans(job)
-        self._job_instant(job, "fault-evicted", reason=reason)
+        self._end_spans(job, "fault-evicted", reason=reason)
         retries = (
             self.config.faults.max_fault_retries
             if self.config.faults is not None else 0
@@ -772,30 +770,10 @@ class JobExecutor:
         reason = (
             f"evicted by higher-priority job {evicted_by.spec.name!r}"
         )
-        if victim.state is JobState.RUNNING:
-            # freeze the source first: the detached IOM keeps ticking
-            # until the slot's next attach and must not refill FIFOs
-            # the eviction path clears
-            victim.iom.source_exhausted = True
-            report = self.system.microblaze.run_to_completion(
-                self._eviction_software(victim),
-                f"{victim.spec.name}-evict",
-            )
-            victim.drained = True
-            victim.state_words = list(report.state_words)
-            victim.words_lost += report.words_lost
-            victim.words_out = len(victim.iom.received)
-            victim.receive_times = list(victim.iom.receive_times)
-            victim.output_history.append(list(victim.receive_times))
-        else:
-            # not streaming yet: cancel queued ICAP work, keep started
-            # transfers (a partial write cannot be abandoned mid-frame)
-            for request in victim.requests:
-                self.scheduler.cancel(request)
+        self._vacate(victim, "evict")
         self.system.sim.metrics.counter(
             "repro_preemption_total", labels={"tenant": self._tenant()}
         ).inc()
-        self.admission.release(victim)
         victim.evictions += 1
         self.system.sim.log(
             "runtime",
@@ -803,8 +781,7 @@ class JobExecutor:
             f"(priority {victim.spec.priority} < "
             f"{evicted_by.spec.priority})",
         )
-        self._close_job_spans(victim)
-        self._job_instant(
+        self._end_spans(
             victim, "evicted", by=evicted_by.spec.name,
             requeued=victim.spec.requeue_on_eviction,
         )
@@ -815,6 +792,42 @@ class JobExecutor:
         else:
             victim.failure_reason = reason
             victim.transition(JobState.EVICTED, self._now_us)
+
+    def _freeze(self, job: Job) -> bool:
+        """First step off a PRR; True when ``job`` is streaming.
+
+        A RUNNING job's source freezes: the detached IOM keeps ticking
+        until the slot's next attach and must not refill the FIFOs the
+        drain clears, or the slot's next tenant reads this stream.  A
+        job not yet streaming has its queued ICAP work cancelled;
+        started transfers stay (a partial write cannot be abandoned
+        mid-frame).
+        """
+        if job.state is JobState.RUNNING:
+            job.iom.source_exhausted = True
+            return True
+        for request in job.requests:
+            self.scheduler.cancel(request)
+        return False
+
+    def _vacate(self, job: Job, label: str) -> None:
+        """Evict ``job`` off its PRRs through the Figure-5 drain.
+
+        The one drain path of priority and fault evictions: freeze,
+        drain a streaming chain and capture its output so far, then
+        return the grant to admission.
+        """
+        if self._freeze(job):
+            report = self.system.microblaze.run_to_completion(
+                self._eviction_software(job), f"{job.spec.name}-{label}"
+            )
+            job.drained = True
+            job.state_words = list(report.state_words)
+            job.words_lost += report.words_lost
+            job.words_out = len(job.iom.received)
+            job.receive_times = list(job.iom.receive_times)
+            job.output_history.append(list(job.receive_times))
+        self.admission.release(job)
 
     def _eviction_software(self, victim: Job) -> Generator:
         """MicroBlaze software evicting a running job's chain.
@@ -880,12 +893,13 @@ class JobExecutor:
         yet).  Returns False when there is nothing to suspend, leaving
         the caller free to fall back to the lossy eviction path.
         """
-        if job.state is JobState.RUNNING:
-            started = self._now_us
-            # freeze the test-vector source: the detached IOM stays on
-            # the system clock until the slot's next attach and must not
-            # push fresh words into FIFOs the suspend path just cleared
-            job.iom.source_exhausted = True
+        if job.state not in (
+            JobState.ADMITTED, JobState.PLACING, JobState.RUNNING,
+        ):
+            return False
+        parked = JobState.QUEUED
+        started = self._now_us
+        if self._freeze(job):
             stage_states, consumed, lost = (
                 self.system.microblaze.run_to_completion(
                     self._suspend_software(job), f"{job.spec.name}-suspend"
@@ -905,18 +919,11 @@ class JobExecutor:
             ]
             job.drained = True
             self._observe_checkpoint("save", capture_us)
-            self.admission.release(job)
-            job.reset_for_requeue()
             job.suspensions += 1
-            job.transition(JobState.SUSPENDED, self._now_us)
-        elif job.state in (JobState.ADMITTED, JobState.PLACING):
-            for request in job.requests:
-                self.scheduler.cancel(request)
-            self.admission.release(job)
-            job.reset_for_requeue()
-            job.transition(JobState.QUEUED, self._now_us)
-        else:
-            return False
+            parked = JobState.SUSPENDED
+        self.admission.release(job)
+        job.reset_for_requeue()
+        job.transition(parked, self._now_us)
         self.preemptions += 1
         self.system.sim.metrics.counter(
             "repro_preemption_total", labels={"tenant": self._tenant()}
@@ -927,8 +934,7 @@ class JobExecutor:
             f"job {job.spec.name} suspended"
             + (f" (preempted by {by})" if by else ""),
         )
-        self._close_job_spans(job)
-        self._job_instant(
+        self._end_spans(
             job, "suspended", by=by,
             source_offset=(
                 job.resume.source_offset if job.resume is not None else 0
@@ -1110,13 +1116,10 @@ class JobExecutor:
                     f"{spec.name}-unwind-reset",
                 )
             if job.attempts >= spec.retry.max_attempts:
-                self._teardown(job)
-                self.admission.release(job)
-                job.fail(
-                    f"no switch-box lanes after {job.attempts} attempts",
-                    self._now_us,
+                self._kill(
+                    job, f"no switch-box lanes after {job.attempts} attempts",
+                    tag="no switch-box lanes",
                 )
-                self._mark_failed(job, "no switch-box lanes")
                 return
             job.next_attempt_us = (
                 self._now_us + spec.retry.backoff_for(job.attempts)
@@ -1214,12 +1217,10 @@ class JobExecutor:
                     "repro_deadline_miss_total",
                     labels={"tenant": self._tenant()},
                 ).inc()
-                self._teardown(job)
-                self.admission.release(job)
-                job.fail(
-                    f"deadline of {deadline}us exceeded", self._now_us
+                self._kill(
+                    job, f"deadline of {deadline}us exceeded",
+                    tag="deadline exceeded",
                 )
-                self._mark_failed(job, "deadline exceeded")
 
     def _capture_output(self, job: Job) -> None:
         """Fold the live IOM buffers into the job's cumulative output.
@@ -1244,8 +1245,7 @@ class JobExecutor:
         self._teardown(job)
         self.admission.release(job)
         job.transition(JobState.DONE, self._now_us)
-        self._close_job_spans(job)
-        self._job_instant(job, "done", words_out=job.words_out)
+        self._end_spans(job, "done", words_out=job.words_out)
 
     def _teardown(self, job: Job) -> None:
         """Release channels and power down the job's stages (no drain)."""

@@ -252,7 +252,13 @@ class SourceSpec:
             raise JobError(f"bad source entry {value!r}")
         value = dict(value)
         kind = value.pop("kind", "ramp")
-        count = int(value.pop("count", 200))
+        count = value.pop("count", 200)
+        try:
+            count = int(count)
+        except (TypeError, ValueError):
+            raise JobError(
+                f"source count must be an integer, got {count!r}"
+            ) from None
         return cls(kind=kind, count=count, params=value)
 
 
@@ -287,8 +293,29 @@ class StreamJob:
     slices_per_stage: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise JobError(f"job name must be a string, got {self.name!r}")
         if not self.name:
             raise JobError("a job needs a name")
+        if not isinstance(self.priority, int) or isinstance(
+            self.priority, bool
+        ):
+            raise JobError(
+                f"job {self.name!r}: priority must be an integer, got "
+                f"{self.priority!r}"
+            )
+        numbers = {
+            "arrival_us": self.arrival_us,
+            "slo_gap_factor": self.slo_gap_factor,
+        }
+        if self.deadline_us is not None:
+            numbers["deadline_us"] = self.deadline_us
+        for key, value in numbers.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise JobError(
+                    f"job {self.name!r}: {key} must be a number, got "
+                    f"{value!r}"
+                )
         if not self.stages:
             raise JobError(f"job {self.name!r} needs at least one stage")
         if self.reconfig_path not in ("array2icap", "cf2icap"):
@@ -387,9 +414,8 @@ class ResumeState:
     plus the source offset -- the drain fully processes every word the
     IOM had emitted, so resuming replays the source iterator from
     ``source_offset`` with no loss and no duplication.  The realtime
-    layer wraps this in a placement-keyed
-    :class:`repro.realtime.checkpoint.Checkpoint` blob; the runtime only
-    needs the raw words.
+    layer's EDF scheduler parks it on the suspended :class:`Job` and the
+    next placement of that job restores it.
     """
 
     stage_states: List[List[int]] = field(default_factory=list)
@@ -499,75 +525,6 @@ class Job:
 
     def __repr__(self) -> str:
         return f"Job({self.spec.name}, {self.state.value})"
-
-
-# ----------------------------------------------------------------------
-# job sources
-# ----------------------------------------------------------------------
-class JobSource:
-    """Where an executor's jobs come from.
-
-    The batch executors consume a static list, the device pool's
-    workers pull from a queue that a front-door server feeds live; both
-    are just iterables of :class:`StreamJob`.  A source signals
-    exhaustion by ending iteration -- for queues that means a sentinel,
-    not emptiness, so a briefly idle server does not shut its workers
-    down.
-    """
-
-    def __iter__(self) -> Iterator[StreamJob]:  # pragma: no cover
-        raise NotImplementedError
-
-
-class StaticJobSource(JobSource):
-    """A fixed batch of jobs (the classic ``repro serve`` jobfile)."""
-
-    def __init__(self, jobs: List[StreamJob]) -> None:
-        names = [job.name for job in jobs]
-        if len(names) != len(set(names)):
-            raise JobError("job names must be unique")
-        self.jobs = list(jobs)
-
-    def __iter__(self) -> Iterator[StreamJob]:
-        return iter(self.jobs)
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-
-class QueueJobSource(JobSource):
-    """Jobs arriving over a queue; ``close()`` ends the stream.
-
-    Works with any object exposing blocking ``get()``/``put()`` --
-    ``queue.Queue`` in-process, ``multiprocessing.Queue`` across the
-    pool's worker boundary.  Iteration blocks in ``get()`` until the
-    producer either enqueues a job or closes the source.
-    """
-
-    _SENTINEL = None
-
-    def __init__(self, queue) -> None:
-        self.queue = queue
-
-    def put(self, job: StreamJob) -> None:
-        self.queue.put(job)
-
-    def close(self) -> None:
-        self.queue.put(self._SENTINEL)
-
-    def __iter__(self) -> Iterator[StreamJob]:
-        while True:
-            item = self.queue.get()
-            if item is self._SENTINEL:
-                return
-            yield item
-
-
-def as_job_source(jobs: Union[JobSource, List[StreamJob]]) -> JobSource:
-    """Adapt a plain job list (the common case) into a JobSource."""
-    if isinstance(jobs, JobSource):
-        return jobs
-    return StaticJobSource(list(jobs))
 
 
 # ----------------------------------------------------------------------

@@ -157,3 +157,21 @@ def test_fleet_report_is_identical_across_worker_counts():
     assert report["sim_us"] is None
     assert "workers" not in solo
     assert "wall" not in solo
+
+
+def test_lane_stuck_fault_eviction_conserves_words():
+    """A stuck lane fault-evicts the streaming victim, which requeues
+    and replays its source from word zero; the drained incarnation's
+    gated words must not leak into the restarted one."""
+    loaded = load_campaign_input(
+        str(REPO_ROOT / "examples" / "jobfiles" / "campaign.json")
+    )
+    config = CampaignConfig(seed=7, duration_us=600.0, lane_stuck=1)
+    result = run_campaign(
+        config, loaded.jobs, params=loaded.params,
+        mode=loaded.mode, executor=loaded.executor,
+    )
+    jobs = result.resilience["jobs"]
+    assert jobs["fault_evictions"] == 1
+    assert jobs["words_out"] == 50_000
+    assert jobs["words_lost"] == 0

@@ -169,6 +169,29 @@ def test_malformed_submissions_are_rejected_not_fatal():
     assert done and done[0]["jobs"] == 1 and done[0]["ok"]
 
 
+def test_ill_typed_line_is_rejected_and_the_next_line_served():
+    async def scenario():
+        server = await start_server()
+        client = PoolClient(server.host, server.port)
+        await client.open()
+        await client.submit({"name": "typed", "priority": "hi"})
+        await client.submit(tiny_job("after"))
+        await client.finish_submissions()
+        events = [e async for e in client.events()]
+        await client.close()
+        await asyncio.wait_for(server.aclose(), timeout=30)
+        return events
+
+    events = asyncio.run(scenario())
+    kinds = [e["event"] for e in events]
+    assert kinds.count("reject") == 1
+    assert kinds.count("done") == 1
+    assert kinds[-1] == "batch_done"
+    reject = next(e for e in events if e["event"] == "reject")
+    assert reject["job"] == "typed" and "priority" in reject["error"]
+    assert events[-1]["jobs"] == 1 and events[-1]["ok"]
+
+
 def test_shutdown_endpoint_drains_gracefully():
     async def scenario():
         server = await start_server()

@@ -50,8 +50,12 @@ def test_feasible_workload_hits_every_deadline(feasible_report):
     # through the checkpoint path, not the restart path
     assert report.preemptions > 0
     assert report.suspensions_total > 0
-    assert executor.checkpoints.saves == executor.checkpoints.restores
-    assert executor.checkpoints.saves >= report.suspensions_total
+    metrics = executor.system.sim.metrics
+    tenant = {"tenant": "default"}
+    saves = metrics.get("repro_checkpoint_save_us", tenant).count
+    restores = metrics.get("repro_checkpoint_restore_us", tenant).count
+    assert saves == restores
+    assert saves >= report.suspensions_total
 
 
 def test_preempted_output_matches_solo_run(params, config, feasible,

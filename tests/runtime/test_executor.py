@@ -317,3 +317,35 @@ def test_on_first_sample_hook_fires_once_per_job():
     report = executor.run([ramp_job("a", count=200), ramp_job("b", count=200)])
     assert report.states == {"DONE": 2}
     assert sorted(seen) == ["a", "b"]
+
+
+def test_fault_eviction_leaks_nothing_into_the_next_tenant():
+    """The prototype's one IOM passes from a fault-evicted job to the
+    next tenant, whose output must match its solo run word for word."""
+    from repro.runtime import JobState, load_jobfile
+
+    jobfile = load_jobfile("examples/jobfiles/small.json")
+    specs = {spec.name: spec for spec in jobfile.jobs}
+    config = ExecutorConfig.from_dict(jobfile.executor)
+
+    class FaultWhileRunning(JobExecutor):
+        def _poll_running(self):
+            super()._poll_running()
+            smooth = self._jobs[0]
+            if (
+                smooth.state is JobState.RUNNING
+                and smooth.iom.received
+                and not self.fault_evictions
+            ):
+                self._evict_for_fault(smooth, None, "injected")
+
+    solo = JobExecutor(params=jobfile.params, config=config)
+    solo.run([specs["edges"]])
+    executor = FaultWhileRunning(params=jobfile.params, config=config)
+    report = executor.run([specs["smooth"], specs["edges"]])
+    assert executor.fault_evictions == 1
+    assert report.job("smooth").state == "FAILED"
+    edges = executor._jobs[1]
+    assert edges.state is JobState.DONE
+    assert edges.words_out == 2_000
+    assert edges.output_words == solo._jobs[0].output_words

@@ -201,29 +201,33 @@ def test_example_jobfiles_parse():
 
 
 # ----------------------------------------------------------------------
-# job sources
+# typed ingress: ill-typed fields are spec errors, not crashes downstream
 # ----------------------------------------------------------------------
-def test_static_job_source_rejects_duplicates_and_iterates():
-    from repro.runtime.jobs import StaticJobSource, as_job_source
-
-    jobs = [StreamJob(name="a"), StreamJob(name="b")]
-    source = StaticJobSource(jobs)
-    assert [j.name for j in source] == ["a", "b"]
-    assert len(source) == 2
-    with pytest.raises(JobError):
-        StaticJobSource([StreamJob(name="x"), StreamJob(name="x")])
-    assert as_job_source(source) is source
-    adapted = as_job_source(jobs)
-    assert [j.name for j in adapted] == ["a", "b"]
+def test_non_string_name_is_a_job_error():
+    with pytest.raises(JobError, match="name must be a string"):
+        StreamJob.from_dict({"name": 5})
 
 
-def test_queue_job_source_streams_until_closed():
-    import queue
+def test_ill_typed_priority_is_a_job_error():
+    with pytest.raises(JobError, match="priority must be an integer"):
+        StreamJob.from_dict({"name": "a", "priority": "hi"})
+    with pytest.raises(JobError, match="priority must be an integer"):
+        StreamJob(name="a", priority=True)
 
-    from repro.runtime.jobs import QueueJobSource
 
-    source = QueueJobSource(queue.Queue())
-    source.put(StreamJob(name="first"))
-    source.put(StreamJob(name="second"))
-    source.close()
-    assert [j.name for j in source] == ["first", "second"]
+def test_non_numeric_times_are_job_errors():
+    with pytest.raises(JobError, match="arrival_us must be a number"):
+        StreamJob.from_dict({"name": "a", "arrival_us": "soon"})
+    with pytest.raises(JobError, match="deadline_us must be a number"):
+        StreamJob.from_dict({"name": "a", "deadline_us": "late"})
+    with pytest.raises(JobError, match="slo_gap_factor must be a number"):
+        StreamJob.from_dict({"name": "a", "slo_gap_factor": [10]})
+    ok = StreamJob.from_dict({"name": "a", "arrival_us": 5, "deadline_us": 9})
+    assert (ok.arrival_us, ok.deadline_us) == (5, 9)
+
+
+def test_non_integer_source_count_is_a_job_error():
+    with pytest.raises(JobError, match="count must be an integer"):
+        StreamJob.from_dict({"name": "a", "source": {"count": "ten"}})
+    with pytest.raises(JobError, match="count must be an integer"):
+        SourceSpec.from_value({"count": None})
